@@ -3,7 +3,8 @@
     sigma = tau Vol(M) - (2 pi m / e^2) slope_vol
 
 must be a strictly positive combination of the weights supporting the
-section.  The engine decides this with an exact simplex over Q(pi).
+section.  The engine decides this with an exact simplex: rational
+tableau, Q[pi] right-hand side, Bland's rule.
 
 Run:  python demos/02_stability_cones.py
 """

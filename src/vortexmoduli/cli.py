@@ -372,7 +372,7 @@ def cmd_embedding(model: GlsmModel, digits: int) -> dict:
     s = maps.s_invariant(target, data)
     out: dict[str, Any] = {
         "unstable_planes": [sorted(p.allowed) for p in planes],
-        "s_invariant": "-infinity" if s == maps.NEG_INFINITY else s,
+        "s_invariant": "-infinity" if s is maps.NEG_INFINITY else s,
     }
     if isinstance(model.manifold, geometry.ProjectiveSpace):
         dense = maps.embedding_open_dense(target, model.manifold, data)

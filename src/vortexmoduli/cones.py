@@ -4,9 +4,9 @@ A gauged linear model is governed by a k x n integer weight matrix Q.
 Solvability of its vortex equations reduces to exact cone geometry: the
 stability vector sigma must sit in the interior of the cone spanned by
 the weights supporting the section.  All membership questions here are
-decided by an exact simplex over Q(pi); the genericity conditions (C1)
-and (C2) and the square-case decomposition are exact rational linear
-algebra.
+decided by an exact simplex (rational tableau, Q[pi] right-hand side,
+Bland's rule); the genericity conditions (C1) and (C2) and the
+square-case decomposition are exact rational linear algebra.
 
 Index sets use 1-based indices, matching the labelling of the n fields.
 """
@@ -136,7 +136,8 @@ def constant_sigma(values: Sequence[Fraction | int]) -> SigmaVector:
 def in_cone_closed(ws: WeightSystem, index_set: Iterable[int], v: Sequence[PiPoly]) -> bool:
     """Is v a non-negative combination of the weights indexed by index_set?
 
-    Decided as an exact LP feasibility problem over Q(pi).
+    Decided as an LP feasibility problem by the exact simplex: rational
+    tableau, Q[pi] right-hand side, Bland's rule.
     """
     members = _validate_index_set(ws, index_set)
     if not members:

@@ -17,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
 from typing import Sequence
 
 from . import cones, geometry
@@ -26,7 +25,8 @@ from .errors import DomainError, NotOpenDenseError, UnsupportedManifoldError
 from .geometry import Degree, ManifoldDescriptor, ProjectiveSpace
 from .scalars import PI, PiPoly
 
-NEG_INFINITY = -inf
+# Exact sentinel for an s-invariant of -infinity (every plane is avoided).
+NEG_INFINITY = None
 
 
 @dataclass(frozen=True)
@@ -138,12 +138,12 @@ def bundle_data_for_degree(man: ManifoldDescriptor, d: int, n: int) -> list[Bund
     return [BundleData(r=r, trivial=(d == 0))] * n
 
 
-def s_invariant(target: ToricTarget, bundle_data: Sequence[BundleData]) -> float | int:
+def s_invariant(target: ToricTarget, bundle_data: Sequence[BundleData]) -> int | None:
     """max over maximal unstable planes of
     (plane dimension) + #(forced-zero fields without sections),
     with the value dropping to -infinity on a plane whose forced-zero set
     contains a trivial bundle (its sections never vanish, so that plane
-    is always avoided)."""
+    is always avoided).  -infinity is returned as NEG_INFINITY (None)."""
     if len(bundle_data) != target.n:
         raise DomainError("one bundle datum per field required")
     best = NEG_INFINITY
@@ -152,7 +152,7 @@ def s_invariant(target: ToricTarget, bundle_data: Sequence[BundleData]) -> float
         if any(bundle_data[j - 1].trivial for j in forced):
             continue
         value = plane.dim + sum(1 for j in forced if bundle_data[j - 1].r == 0)
-        best = max(best, value)
+        best = value if best is NEG_INFINITY else max(best, value)
     return best
 
 
@@ -167,7 +167,7 @@ def embedding_open_dense(
             "the open-dense criterion is established only for projective-space bases"
         )
     s = s_invariant(target, bundle_data)
-    if s == NEG_INFINITY:
+    if s is NEG_INFINITY:
         return True
     return target.n - s > man.m
 

@@ -370,35 +370,3 @@ def pp_sign(a: PiPoly) -> Sign:
 def pp_approx(a: PiPoly, decimal_digits: int = 12) -> str:
     return a.approx(decimal_digits)
 
-
-def poly_divmod(a: PiPoly, b: PiPoly) -> tuple[PiPoly, PiPoly]:
-    """Euclidean division in Q[pi] (polynomial division, not evaluation)."""
-    if b.is_zero():
-        raise DomainError("polynomial division by zero")
-    rem = list(a.coeffs)
-    div = b.coeffs
-    dq = len(rem) - len(div)
-    if dq < 0:
-        return PiPoly(), a
-    quot = [Fraction(0)] * (dq + 1)
-    lead = div[-1]
-    for i in range(dq, -1, -1):
-        if len(rem) < len(div) + i:
-            continue
-        factor = rem[len(div) + i - 1] / lead
-        quot[i] = factor
-        if factor != 0:
-            for j, c in enumerate(div):
-                rem[i + j] -= factor * c
-        del rem[len(div) + i - 1]
-    return PiPoly(quot), PiPoly(rem)
-
-
-def poly_gcd(a: PiPoly, b: PiPoly) -> PiPoly:
-    """Monic polynomial gcd in Q[pi]."""
-    while not b.is_zero():
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.div_monomial(a.coeffs[-1])

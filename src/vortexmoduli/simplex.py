@@ -1,251 +1,136 @@
-"""Exact simplex method over the ordered field Q(pi).
+"""Exact simplex: rational tableau, Q[pi] right-hand side, Bland's rule.
 
-Stability verdicts are strict inequalities on vectors whose entries are
-polynomials in pi, so the linear programs here are solved over the
-fraction field of Q[pi] rather than in floating point.  Field elements
-are quotients of PiPoly values; every comparison reduces to a decidable
-sign computation.  Pivoting uses Bland's rule, which guarantees
-termination without perturbation.
+Every cone LP in this package has an integer constraint matrix and an
+integer objective; only the right-hand side (a stability vector) lives
+in Q[pi].  Pivots therefore keep the tableau and the reduced costs
+rational, while the right-hand-side column and the optimum stay
+polynomials in pi.  The ratio test compares two such polynomials by the
+decidable sign of their difference, so no floating point and no field
+of fractions is involved.  Bland's rule (lowest-index entering variable,
+lowest basis index among tied ratios) guarantees termination without
+perturbation.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import DomainError
-from .scalars import PiPoly, Sign, poly_gcd
-
-Scalar = Union[PiPoly, Fraction, int]
+from .scalars import PiPoly, Rational, Sign
 
 
-def _as_poly(value: Scalar) -> PiPoly:
-    if isinstance(value, PiPoly):
-        return value
-    return PiPoly.constant(value)
-
-
-class PiFrac:
-    """An element of Q(pi): a quotient of two PiPoly values.
-
-    The denominator is normalised to be positive and the pair is reduced
-    by the polynomial gcd, which keeps degrees small across pivots.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Scalar, den: Scalar = 1):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        den_sign = den.sign()
-        if den_sign == Sign.ZERO:
-            raise DomainError("zero denominator in Q(pi)")
-        if num.is_zero():
-            num, den = PiPoly(), PiPoly.constant(1)
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = _exact_div(num, g)
-                den = _exact_div(den, g)
-                den_sign = den.sign()
-            if den_sign == Sign.NEGATIVE:
-                num, den = -num, -den
-            lead = den.coeffs[-1]
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
-        self.num = num
-        self.den = den
-
-    def sign(self) -> Sign:
-        return self.num.sign()
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "PiFrac") -> "PiFrac":
-        return PiFrac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "PiFrac") -> "PiFrac":
-        return PiFrac(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "PiFrac":
-        return PiFrac(-self.num, self.den)
-
-    def __mul__(self, other: "PiFrac") -> "PiFrac":
-        return PiFrac(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "PiFrac") -> "PiFrac":
-        if other.is_zero():
-            raise DomainError("division by zero in Q(pi)")
-        return PiFrac(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PiFrac):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __lt__(self, other: "PiFrac") -> bool:
-        return (self - other).sign() == Sign.NEGATIVE
-
-    def __gt__(self, other: "PiFrac") -> bool:
-        return (self - other).sign() == Sign.POSITIVE
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        if self.den == PiPoly.constant(1):
-            return f"({self.num})"
-        return f"({self.num})/({self.den})"
-
-
-def _exact_div(a: PiPoly, b: PiPoly) -> PiPoly:
-    from .scalars import poly_divmod
-
-    q, r = poly_divmod(a, b)
-    if not r.is_zero():
-        raise AssertionError("inexact polynomial division")
-    return q
-
-
-_ZERO = PiFrac(0)
-_ONE = PiFrac(1)
-
-
+@dataclass(frozen=True)
 class LpResult:
     """Outcome of a linear program: status plus optimum when bounded."""
 
-    __slots__ = ("status", "value", "solution")
+    status: str  # "optimal" | "unbounded" | "infeasible"
+    value: PiPoly | None = None
 
-    def __init__(self, status: str, value: PiFrac | None = None, solution: list[PiFrac] | None = None):
-        self.status = status  # "optimal" | "unbounded" | "infeasible"
-        self.value = value
-        self.solution = solution
+
+def _rational(value: object) -> Fraction:
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise DomainError(f"LP matrix and objective entries must be int or Fraction, got {value!r}")
 
 
 def maximize(
-    constraints: Sequence[Sequence[Scalar]],
-    rhs: Sequence[Scalar],
-    objective: Sequence[Scalar],
+    constraints: Sequence[Sequence[Rational]],
+    rhs: Sequence[PiPoly | Rational],
+    objective: Sequence[Rational],
 ) -> LpResult:
-    """Solve max c.x subject to A x = b, x >= 0 over Q(pi).
+    """Solve max c.x subject to A x = b, x >= 0 with A, c rational and b in Q[pi].
 
-    Two-phase simplex with Bland's rule; all comparisons go through the
-    decidable sign on Q[pi].
+    Two-phase simplex with Bland's rule; every comparison of right-hand
+    side values goes through the decidable sign on Q[pi].
     """
     nrows = len(constraints)
     ncols = len(objective)
     if len(rhs) != nrows or any(len(row) != ncols for row in constraints):
         raise DomainError("inconsistent LP dimensions")
-
-    tableau = [[PiFrac(x) for x in row] for row in constraints]
-    b = [PiFrac(x) for x in rhs]
+    tableau = [[_rational(x) for x in row] for row in constraints]
+    cost = [_rational(x) for x in objective]
+    b = [x if isinstance(x, PiPoly) else PiPoly.constant(x) for x in rhs]
     for i in range(nrows):
         if b[i].sign() == Sign.NEGATIVE:
             tableau[i] = [-x for x in tableau[i]]
             b[i] = -b[i]
 
-    # Phase 1: artificial basis.
-    art = list(range(ncols, ncols + nrows))
+    # Phase 1: artificial basis, maximise minus the sum of artificials.
     for i in range(nrows):
-        tableau[i] = tableau[i] + [_ONE if j == i else _ZERO for j in range(nrows)]
-    basis = art.copy()
-    cost1 = [_ZERO] * ncols + [PiFrac(-1)] * nrows
-    status = _run_simplex(tableau, b, basis, cost1)
-    if status != "optimal":  # pragma: no cover - phase 1 is always bounded
-        raise AssertionError("phase 1 cannot be unbounded")
-    if any(b[i].sign() == Sign.POSITIVE and basis[i] >= ncols for i in range(nrows)):
+        tableau[i] += [Fraction(j == i) for j in range(nrows)]
+    basis = list(range(ncols, ncols + nrows))
+    if _run_simplex(tableau, b, basis, [Fraction(0)] * ncols + [Fraction(-1)] * nrows) != "optimal":
+        raise AssertionError("phase 1 cannot be unbounded")  # pragma: no cover
+    if any(basis[i] >= ncols and b[i].sign() == Sign.POSITIVE for i in range(nrows)):
         return LpResult("infeasible")
 
-    # Drive remaining zero-level artificials out of the basis.
+    # Drive zero-level artificials out of the basis; drop redundant rows.
     drop_rows: list[int] = []
     for i in range(nrows):
         if basis[i] >= ncols:
-            pivot_col = next((j for j in range(ncols) if not tableau[i][j].is_zero()), None)
+            pivot_col = next((j for j in range(ncols) if tableau[i][j] != 0), None)
             if pivot_col is None:
                 drop_rows.append(i)
             else:
                 _pivot(tableau, b, basis, i, pivot_col)
     for i in reversed(drop_rows):
-        del tableau[i]
-        del b[i]
-        del basis[i]
+        del tableau[i], b[i], basis[i]
     tableau = [row[:ncols] for row in tableau]
 
-    cost2 = [PiFrac(x) for x in objective]
-    status = _run_simplex(tableau, b, basis, cost2)
-    if status == "unbounded":
+    if _run_simplex(tableau, b, basis, cost) == "unbounded":
         return LpResult("unbounded")
-    solution = [_ZERO] * ncols
+    value = PiPoly()
     for i, var in enumerate(basis):
-        solution[var] = b[i]
-    value = _ZERO
-    for j in range(ncols):
-        if not solution[j].is_zero():
-            value = value + cost2[j] * solution[j]
-    return LpResult("optimal", value, solution)
+        if cost[var] != 0:
+            value = value + b[i].scale(cost[var])
+    return LpResult("optimal", value)
 
 
-def feasible(constraints: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> bool:
+def feasible(constraints: Sequence[Sequence[Rational]], rhs: Sequence[PiPoly | Rational]) -> bool:
     """Is {x >= 0 : A x = b} nonempty?"""
     ncols = len(constraints[0]) if constraints else 0
     return maximize(constraints, rhs, [0] * ncols).status != "infeasible"
 
 
-def _reduced_costs(tableau, basis, cost) -> list[PiFrac]:
-    ncols = len(cost)
-    reduced = list(cost)
-    for i, var in enumerate(basis):
-        cb = cost[var]
-        if cb.is_zero():
-            continue
-        row = tableau[i]
-        for j in range(ncols):
-            if not row[j].is_zero():
-                reduced[j] = reduced[j] - cb * row[j]
-    return reduced
-
-
 def _run_simplex(tableau, b, basis, cost) -> str:
     ncols = len(cost)
     while True:
-        reduced = _reduced_costs(tableau, basis, cost)
-        entering = next(
-            (j for j in range(ncols) if j not in basis and reduced[j].sign() == Sign.POSITIVE),
-            None,
-        )
+        reduced = list(cost)
+        for row, var in zip(tableau, basis):
+            c = cost[var]
+            if c != 0:
+                reduced = [r - c * x if x else r for r, x in zip(reduced, row)]
+        entering = next((j for j in range(ncols) if j not in basis and reduced[j] > 0), None)
         if entering is None:
             return "optimal"
         leaving = None
-        best_ratio: PiFrac | None = None
-        for i in range(len(tableau)):
-            a = tableau[i][entering]
-            if a.sign() != Sign.POSITIVE:
+        best: PiPoly | None = None
+        for i, row in enumerate(tableau):
+            a = row[entering]
+            if a <= 0:
                 continue
-            ratio = b[i] / a
-            if (
-                best_ratio is None
-                or ratio < best_ratio
-                or (ratio == best_ratio and leaving is not None and basis[i] < basis[leaving])
-            ):
-                best_ratio = ratio
-                leaving = i
+            ratio = b[i].scale(1 / a)
+            if best is None:
+                best, leaving = ratio, i
+                continue
+            order = (ratio - best).sign()
+            if order == Sign.NEGATIVE or (order == Sign.ZERO and basis[i] < basis[leaving]):
+                best, leaving = ratio, i
         if leaving is None:
             return "unbounded"
         _pivot(tableau, b, basis, leaving, entering)
 
 
 def _pivot(tableau, b, basis, row: int, col: int) -> None:
-    pivot = tableau[row][col]
-    inv = _ONE / pivot
+    inv = 1 / tableau[row][col]
     tableau[row] = [x * inv for x in tableau[row]]
-    b[row] = b[row] * inv
+    b[row] = b[row].scale(inv)
     for i in range(len(tableau)):
-        if i == row:
-            continue
         factor = tableau[i][col]
-        if factor.is_zero():
+        if i == row or factor == 0:
             continue
         tableau[i] = [x - factor * y for x, y in zip(tableau[i], tableau[row])]
-        b[i] = b[i] - factor * b[row]
+        b[i] = b[i] - b[row].scale(factor)
     basis[row] = col

@@ -2,12 +2,16 @@ import io
 import json
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from vortexmoduli.cli import main, parse_model, parse_rational
 from vortexmoduli.errors import ParseError
 from vortexmoduli.geometry import Degree, DeltaVector
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_MODELS = sorted((ROOT / "demos" / "models").glob("*.json"))
 
 
 def run_cli(argv):
@@ -307,3 +311,13 @@ def test_generic_picz_default_report_degrades_gracefully(model_file):
     # explicitly requesting the unavailable analysis is an error
     code, _ = run_cli(["moduli", path])
     assert code == 1
+
+
+@pytest.mark.parametrize("model", DEMO_MODELS, ids=lambda path: path.stem)
+def test_demo_report_matches_pinned_output(model):
+    # The pinned reports are read, never rewritten: a change of any byte
+    # in a demo report is a change of behaviour.
+    expected = (ROOT / "perfbench" / "expected" / f"{model.stem}.json").read_bytes()
+    code, out = run_cli(["report", str(model)])
+    assert code == 0
+    assert out.encode() == expected

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import oracle_in_closed_cone, oracle_in_cone_interior
+from oracles import oracle_facet_normals, oracle_in_closed_cone, oracle_in_cone_interior
 from vortexmoduli.cones import (
     StabilityThreshold,
     WeightSystem,
@@ -267,23 +267,56 @@ def test_square_decomposition_with_pi_valued_sigma():
     assert sigma_decomposition_square(ws, (PiPoly([2, -2]), PiPoly([1]))) is None
 
 
+def _random_pi_vector(rng, k, degree):
+    return tuple(
+        PiPoly(
+            [Fraction(rng.randint(-6, 6), rng.randint(1, 3))]
+            + [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(degree)]
+        )
+        for _ in range(k)
+    )
+
+
+def _pi_vector_on_proper_face(rng, ws, members):
+    """A pi-multiple combination of the columns on a proper face of the
+    cone of ``members`` (cut out by a random set of its facet normals),
+    or None when that cone has no facets."""
+    normals = oracle_facet_normals(ws.rows, members)
+    if not normals:
+        return None
+    cut = rng.sample(normals, rng.randint(1, len(normals)))
+    face = [
+        j for j in sorted(members)
+        if all(sum(q * x for q, x in zip(ws.column(j), u)) == 0 for u in cut)
+    ]
+    v = [PiPoly() for _ in range(ws.k)]
+    for j in face:
+        weight = PiPoly.pi(rng.randint(1, 2), Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+        v = [acc + weight.scale(q) for acc, q in zip(v, ws.column(j))]
+    return tuple(v)
+
+
 def test_cone_ops_agree_with_oracles_pi_valued():
-    # Same cross-validation with degree-1 pi-polynomial vectors, the
-    # shape real stability data takes.
+    # Same cross-validation with pi-polynomial vectors: degree 1 (the
+    # shape real stability data takes), degree 2, and vectors placed
+    # exactly on a proper face, where ratio tests tie with an exactly
+    # zero difference in Q[pi].
     rng = random.Random(424242)
-    for _ in range(100):
+    cases = 0
+    while cases < 300:
         k = rng.randint(1, 3)
         n = rng.randint(k, 6)
         ws = random_weight_system(rng, k, n)
-        v = tuple(
-            PiPoly(
-                [
-                    Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
-                    Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
-                ]
-            )
-            for _ in range(k)
-        )
-        members = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        if cases < 200:
+            v = _random_pi_vector(rng, k, 1 if cases < 100 else 2)
+            members = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        else:
+            members = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            v = _pi_vector_on_proper_face(rng, ws, members)
+            if v is None:
+                continue
+            assert in_cone_closed(ws, members, v)
+            assert not in_cone_interior(ws, members, v)
+        cases += 1
         assert in_cone_closed(ws, members, v) == oracle_in_closed_cone(ws.rows, members, v)
         assert in_cone_interior(ws, members, v) == oracle_in_cone_interior(ws.rows, members, v)

@@ -9,8 +9,6 @@ from vortexmoduli.scalars import (
     PiPoly,
     Sign,
     pi_enclosure,
-    poly_divmod,
-    poly_gcd,
     pp_add,
     pp_approx,
     pp_mul,
@@ -124,23 +122,6 @@ def test_power_and_scale():
     assert PiPoly([1, 1]).scale(Fraction(1, 2)) == PiPoly([Fraction(1, 2), Fraction(1, 2)])
     with pytest.raises(DomainError):
         PI ** (-1)
-
-
-def test_poly_divmod_and_gcd():
-    a = PiPoly([0, 0, 1])  # pi^2
-    b = PiPoly([0, 1])  # pi
-    q, r = poly_divmod(a, b)
-    assert q == b and r.is_zero()
-    g = poly_gcd(PiPoly([-1, 0, 1]), PiPoly([1, 1]))  # (pi^2-1, pi+1) -> pi+1
-    assert g == PiPoly([1, 1])
-    rng = random.Random(11)
-    for _ in range(25):
-        a, b = rnd_poly(rng), rnd_poly(rng)
-        if b.is_zero():
-            continue
-        q, r = poly_divmod(a, b)
-        assert q * b + r == a
-        assert r.is_zero() or r.degree < b.degree
 
 
 def test_json_rendering():
