@@ -81,6 +81,18 @@ def parse_int(value: Any, where: str) -> int:
     return value
 
 
+def parse_list(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def parse_object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: expected an object, got {type(value).__name__}")
+    return value
+
+
 def _parse_manifold(doc: Any) -> geometry.ManifoldDescriptor:
     if not isinstance(doc, dict) or "type" not in doc:
         raise ParseError("manifold: expected an object with a \"type\" field")
@@ -104,11 +116,12 @@ def _parse_manifold(doc: Any) -> geometry.ManifoldDescriptor:
                 parse_rational(doc["delta"], "manifold.delta"),
             )
         if kind == "abelian_variety":
-            lambdas = [parse_rational(x, "manifold.lambdas") for x in doc["lambdas"]]
+            lambdas = [parse_rational(x, "manifold.lambdas")
+                       for x in parse_list(doc["lambdas"], "manifold.lambdas")]
             deltas = doc.get("deltas")
             if deltas is None:
                 deltas = [1] * len(lambdas)
-            deltas = [parse_int(d, "manifold.deltas") for d in deltas]
+            deltas = [parse_int(d, "manifold.deltas") for d in parse_list(deltas, "manifold.deltas")]
             return geometry.AbelianVariety(AbelianVarietyData.of(deltas, lambdas))
         if kind == "generic_pic_z":
             return geometry.GenericPicZ(
@@ -117,15 +130,15 @@ def _parse_manifold(doc: Any) -> geometry.ManifoldDescriptor:
                 parse_rational(doc.get("kahler_scale", 1), "manifold.kahler_scale"),
             )
         if kind == "generic_simply_connected":
-            table = tuple(
-                (parse_int(b["r"], "manifold.bundles.r"),
-                 parse_rational(b["slope_vol"], "manifold.bundles.slope_vol"))
-                for b in doc["bundles"]
-            )
+            table = []
+            for entry in parse_list(doc["bundles"], "manifold.bundles"):
+                entry = parse_object(entry, "manifold.bundles")
+                table.append((parse_int(entry["r"], "manifold.bundles.r"),
+                              parse_rational(entry["slope_vol"], "manifold.bundles.slope_vol")))
             return geometry.GenericSimplyConnected(
                 parse_int(doc["m"], "manifold.m"),
                 parse_rational(doc["vol"], "manifold.vol"),
-                table,
+                tuple(table),
             )
     except KeyError as exc:
         raise ParseError(f"manifold: missing field {exc.args[0]!r}") from exc
@@ -138,10 +151,13 @@ def _parse_bundle(doc: Any, where: str) -> geometry.BundleDescriptor:
     if "degree" in doc:
         return geometry.Degree(parse_int(doc["degree"], f"{where}.degree"))
     if "bidegree" in doc:
-        a, b = doc["bidegree"]
-        return geometry.Bidegree(parse_int(a, where), parse_int(b, where))
+        pair = parse_list(doc["bidegree"], f"{where}.bidegree")
+        if len(pair) != 2:
+            raise ParseError(f"{where}.bidegree: expected two integers")
+        return geometry.Bidegree(parse_int(pair[0], where), parse_int(pair[1], where))
     if "deltas" in doc:
-        return geometry.DeltaVector(tuple(parse_int(d, where) for d in doc["deltas"]))
+        deltas = parse_list(doc["deltas"], f"{where}.deltas")
+        return geometry.DeltaVector(tuple(parse_int(d, where) for d in deltas))
     if "index" in doc:
         return geometry.TableIndex(parse_int(doc["index"], where))
     raise ParseError(f"{where}: expected one of degree / bidegree / deltas / index")
@@ -149,20 +165,34 @@ def _parse_bundle(doc: Any, where: str) -> geometry.BundleDescriptor:
 
 def parse_model(doc: Any) -> tuple[GlsmModel, dict]:
     """Build the model from a parsed JSON document; returns the model and
-    the auxiliary options (constraint degree, analysis list, map degree)."""
+    the auxiliary options (constraint degree, analysis list, map degree).
+
+    Every malformed document raises ``ParseError``, including one whose
+    values the model constructors reject."""
+    try:
+        return _parse_model(doc)
+    except ParseError:
+        raise
+    except VortexError as exc:
+        raise ParseError(f"invalid model: {exc}") from exc
+
+
+def _parse_model(doc: Any) -> tuple[GlsmModel, dict]:
     if not isinstance(doc, dict):
         raise ParseError("model file must be a JSON object")
     for key in ("manifold", "weights", "tau", "e2"):
         if key not in doc:
             raise ParseError(f"missing required field {key!r}")
     manifold = _parse_manifold(doc["manifold"])
+    rows = [
+        [parse_int(x, "weights") for x in parse_list(row, "weights")]
+        for row in parse_list(doc["weights"], "weights")
+    ]
     try:
-        weights = cones.WeightSystem.from_rows(
-            [[parse_int(x, "weights") for x in row] for row in doc["weights"]]
-        )
+        weights = cones.WeightSystem.from_rows(rows)
     except VortexError as exc:
         raise ParseError(f"weights: {exc}") from exc
-    tau = tuple(parse_rational(t, "tau") for t in doc["tau"])
+    tau = tuple(parse_rational(t, "tau") for t in parse_list(doc["tau"], "tau"))
     e2 = parse_rational(doc["e2"], "e2")
 
     if isinstance(manifold, geometry.GenericSimplyConnected):
@@ -170,11 +200,15 @@ def parse_model(doc: Any) -> tuple[GlsmModel, dict]:
         model = GlsmModel.from_bundles(manifold, weights, tau, e2, bundles)
     elif "principal" in doc:
         principal = [
-            _parse_bundle(p, f"principal[{i}]") for i, p in enumerate(doc["principal"])
+            _parse_bundle(p, f"principal[{i}]")
+            for i, p in enumerate(parse_list(doc["principal"], "principal"))
         ]
         model = GlsmModel.from_principal(manifold, weights, tau, e2, principal)
     elif "bundles" in doc:
-        bundles = [_parse_bundle(b, f"bundles[{i}]") for i, b in enumerate(doc["bundles"])]
+        bundles = [
+            _parse_bundle(b, f"bundles[{i}]")
+            for i, b in enumerate(parse_list(doc["bundles"], "bundles"))
+        ]
         model = GlsmModel.from_bundles(manifold, weights, tau, e2, bundles)
     elif isinstance(manifold, geometry.AbelianVariety) and weights.k == 1:
         model = GlsmModel.from_principal(
@@ -183,13 +217,17 @@ def parse_model(doc: Any) -> tuple[GlsmModel, dict]:
     else:
         raise ParseError("model needs \"principal\" or \"bundles\" data")
 
+    analysis = parse_list(doc.get("analysis", list(ALL_ANALYSES)), "analysis")
+    if not all(isinstance(flag, str) for flag in analysis):
+        raise ParseError("analysis: expected a list of strings")
     options = {
         "constraint": None,
-        "analysis": list(doc.get("analysis", ALL_ANALYSES)),
+        "analysis": list(analysis),
         "explicit": "analysis" in doc,
     }
     if "constraint" in doc:
-        options["constraint"] = parse_int(doc["constraint"]["degree"], "constraint.degree")
+        constraint = parse_object(doc["constraint"], "constraint")
+        options["constraint"] = parse_int(constraint.get("degree"), "constraint.degree")
     unknown = set(options["analysis"]) - set(ALL_ANALYSES)
     if unknown:
         raise ParseError(f"unknown analysis flags: {sorted(unknown)}")

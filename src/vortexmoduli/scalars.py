@@ -5,13 +5,20 @@ Kahler coefficients, curvatures) is a polynomial in pi with rational
 coefficients.  Because pi is transcendental, such a polynomial vanishes
 as a real number only when all of its coefficients vanish, so equality
 is structural and the sign of a nonzero value is decidable: evaluate the
-polynomial on a rational interval enclosing pi and refine the enclosure
-until the result interval excludes zero.
+polynomial on an interval enclosing pi and refine the enclosure until
+the result interval excludes zero.
+
+Evaluation is fixed-point: pi enters as the integers floor(pi * 2**p) and
+ceil(pi * 2**p), the coefficients as integer numerators over their common
+denominator, and Horner's rule runs on integers scaled by 2**p, rounding
+every lower bound down and every upper bound up.  The precision p follows
+the digits the caller asks for.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -87,17 +94,37 @@ def pi_enclosure(digits: int) -> tuple[Fraction, Fraction]:
         return lo, hi
 
 
+# (bits, lo, hi) with lo <= pi * 2**bits <= hi and hi - lo <= 2; tightened
+# from pi_enclosure only when a caller needs more bits.
+_pi_fixed: tuple[int, int, int] = (0, 3, 4)
+
+
+def _pi_fixed_point(bits: int) -> tuple[int, int]:
+    """Integers lo <= pi * 2**bits <= hi with hi - lo <= 2."""
+    global _pi_fixed
+    cached = _pi_fixed
+    if cached[0] < bits:
+        # 0.30103 > log10(2), so the rational enclosure is narrower than 2**-bits.
+        lo, hi = pi_enclosure(bits * 30103 // 100000 + 1)
+        fresh = (
+            bits,
+            (lo.numerator << bits) // lo.denominator,
+            -((-hi.numerator << bits) // hi.denominator),
+        )
+        with _enclosure_lock:
+            if _pi_fixed[0] < bits:
+                _pi_fixed = fresh
+            cached = _pi_fixed
+    shift = cached[0] - bits
+    return cached[1] >> shift, -((-cached[2]) >> shift)
+
+
 def _as_fraction(value: Rational) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     raise DomainError(f"expected an exact rational, got {value!r}")
-
-
-def _interval_mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(products), max(products)
 
 
 def _round_half_even(x: Fraction) -> int:
@@ -251,15 +278,31 @@ class PiPoly:
     # -- sign and decimal rendering -----------------------------------------
 
     def enclosure(self, digits: int) -> tuple[Fraction, Fraction]:
-        """A rational interval certified to contain the real value."""
+        """A rational interval certified to contain the real value.
+
+        Its width is at most ``S * 10**-digits``, where S is the sum of the
+        absolute values of the coefficients.  For degree n, Horner's rule
+        runs on integers scaled by 2**p with
+        p = floor(3.322 * digits) + 2n + bitlength(n + 1) + 2, and the width
+        of pi's fixed-point interval together with the outward rounding of
+        the n steps keeps the result's width below
+        ``S * (n + 1) * 4**n * 2**-p < S * 10**-digits / 2``.
+        """
         if not self._coeffs:
             return (Fraction(0), Fraction(0))
-        pi_int = pi_enclosure(digits)
-        lo = hi = self._coeffs[-1]
-        for c in reversed(self._coeffs[:-1]):
-            lo, hi = _interval_mul((lo, hi), pi_int)
-            lo, hi = lo + c, hi + c
-        return lo, hi
+        n = len(self._coeffs) - 1
+        bits = digits * 3322 // 1000 + 2 * n + (n + 1).bit_length() + 2
+        d = math.lcm(*(c.denominator for c in self._coeffs))
+        scaled = [c.numerator * (d // c.denominator) << bits for c in self._coeffs]
+        pi_lo, pi_hi = _pi_fixed_point(bits)
+        lo = hi = scaled[-1]
+        for a in reversed(scaled[:-1]):
+            # pi_lo > 0, so each endpoint's extreme product is fixed by its sign.
+            low = lo * (pi_lo if lo >= 0 else pi_hi)
+            high = hi * (pi_hi if hi >= 0 else pi_lo)
+            lo = (low >> bits) + a
+            hi = -((-high) >> bits) + a
+        return Fraction(lo, d << bits), Fraction(hi, d << bits)
 
     def sign(self) -> Sign:
         """Sign of the real number obtained by evaluating at pi.

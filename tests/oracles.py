@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: cone membership is
 decided by Caratheodory vertex enumeration and facet enumeration built
 directly on rational Gaussian elimination, never by the simplex; the
-moduli dimension is a direct maximum over enumerated strata.
+moduli dimension is a direct maximum over enumerated strata; the value
+of a polynomial in pi is enclosed by interval Horner on exact fractions,
+never by fixed-point integers.
 """
 
 from __future__ import annotations
@@ -128,6 +130,18 @@ def oracle_moduli_dimension(rows, sigma, r) -> int | None:
             if best is None or value > best:
                 best = value
     return best
+
+
+def oracle_pi_horner(coeffs, pi_lo: Fraction, pi_hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Enclose sum(coeffs[i] * pi**i) by interval Horner on exact fractions,
+    given rationals 0 < pi_lo <= pi <= pi_hi."""
+    if not coeffs:
+        return Fraction(0), Fraction(0)
+    lo = hi = Fraction(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        products = (lo * pi_lo, lo * pi_hi, hi * pi_lo, hi * pi_hi)
+        lo, hi = min(products) + c, max(products) + c
+    return lo, hi
 
 
 def brute_force_series(name: str, x, terms: int = 30):

@@ -142,6 +142,48 @@ def test_parse_error_exit_code(model_file):
     assert code == 2
 
 
+ABELIAN_DOC = {
+    "manifold": {"type": "abelian_variety", "lambdas": ["1", "1"]},
+    "weights": [[1]],
+    "tau": ["100"],
+    "e2": "1",
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(BASE_DOC, e2="0"),
+        dict(BASE_DOC, tau=["1", "2"]),
+        dict(BASE_DOC, manifold={"type": "projective_space", "m": -1}),
+        dict(BASE_DOC, weights=5),
+        dict(BASE_DOC, weights=[5]),
+        dict(BASE_DOC, tau=5),
+        dict(BASE_DOC, constraint=5),
+        dict(BASE_DOC, constraint={}),
+        dict(BASE_DOC, analysis=5),
+        dict(BASE_DOC, analysis=[[1]]),
+        dict(BASE_DOC, principal=5),
+        dict(BASE_DOC, principal=[{"bidegree": 5}]),
+        dict(BASE_DOC, principal=[{"deltas": 5}]),
+        dict(ABELIAN_DOC, manifold={"type": "abelian_variety", "lambdas": 5}),
+        dict(ABELIAN_DOC, manifold={"type": "abelian_variety", "lambdas": ["1"], "deltas": 5}),
+        dict(BASE_DOC, manifold={"type": "generic_simply_connected", "m": 1, "vol": "1", "bundles": [5]}),
+    ],
+    ids=[
+        "e2-zero", "tau-too-long", "negative-m", "weights-int", "weights-row-int", "tau-int",
+        "constraint-int", "constraint-no-degree", "analysis-int", "analysis-nested",
+        "principal-int", "bidegree-int", "deltas-int", "lambdas-int", "manifold-deltas-int",
+        "table-entry-int",
+    ],
+)
+def test_malformed_model_exits_two_without_traceback(model_file, capsys, doc):
+    code, out = run_cli(["report", model_file(doc)])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
 def test_explicit_failing_analysis_exits_one(model_file):
     path = model_file(dict(BASE_DOC, analysis=["energy"]))
     code, out = run_cli(["report", path])

@@ -1,8 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import iv, libmp
 
+from oracles import oracle_pi_horner
 from vortexmoduli.errors import DomainError
 from vortexmoduli.scalars import (
     PI,
@@ -135,3 +140,68 @@ def test_str_rendering():
     assert str(PiPoly()) == "0"
     assert str(PI) == "pi"
     assert str(PiPoly([0, 0, Fraction(1, 2)])) == "1/2*pi^2"
+
+
+coefficient = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+
+
+@st.composite
+def pi_polys(draw):
+    degree = draw(st.integers(1, 34))
+    lower = draw(st.lists(coefficient, min_size=degree, max_size=degree))
+    leading = draw(coefficient.filter(lambda c: c != 0))
+    return PiPoly(lower + [leading])
+
+
+def decimal_pi(digits):
+    """pi_enclosure(digits) rounded outward onto the grid 10**-digits."""
+    lo, hi = pi_enclosure(digits)
+    scale = 10**digits
+    return (
+        Fraction(lo.numerator * scale // lo.denominator, scale),
+        Fraction(-(-hi.numerator * scale // hi.denominator), scale),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pi_polys(), st.integers(12, 200))
+def test_enclosure_contains_fraction_horner_reference(poly, digits):
+    lo, hi = poly.enclosure(digits)
+    assert lo <= hi
+    # The width bound stated by PiPoly.enclosure.
+    assert hi - lo <= sum(abs(c) for c in poly.coeffs) * Fraction(1, 10**digits)
+    # Twice the digits, plus guard digits that keep the reference's own
+    # interval growth (about (n + 1) * 4**n) below the width tested.
+    ref_lo, ref_hi = oracle_pi_horner(poly.coeffs, *decimal_pi(2 * (digits + poly.degree)))
+    assert lo <= ref_lo <= ref_hi <= hi
+
+
+def mpmath_enclosure(poly, dps):
+    """Rational endpoints of mpmath interval Horner at a pi mpmath computes."""
+    saved, iv.dps = iv.dps, dps
+    try:
+        acc = iv.mpf(0)
+        for c in reversed(poly.coeffs):
+            acc = acc * iv.pi + iv.mpf(c.numerator) / c.denominator
+        return tuple(Fraction(*libmp.to_rational(end)) for end in acc._mpi_)
+    finally:
+        iv.dps = saved
+
+
+def test_approx_agrees_with_mpmath_intervals():
+    rng = random.Random(11)
+    polys = [
+        (PI + 1) ** 20 * Fraction(1, 3) - PiPoly.pi(5, 7),
+        PiPoly.pi(34, Fraction(1, 10**20)) - PiPoly.pi(33, Fraction(-5, 7)) + 1,
+        (PI * Fraction(7, 2)) ** 24 * Fraction(1, math.factorial(24)),
+    ] + [
+        PiPoly([Fraction(rng.randint(-(10**9), 10**9), rng.randint(1, 10**5)) for _ in range(deg + 1)])
+        for deg in (20, 27, 34)
+    ]
+    for poly in polys:
+        assert poly.degree >= 20
+        for digits in (12, 30):
+            rendered = Fraction(poly.approx(digits))
+            half_ulp = Fraction(1, 2 * 10**digits)
+            lo, hi = mpmath_enclosure(poly, digits + 60)
+            assert rendered - half_ulp < lo <= hi < rendered + half_ulp
